@@ -155,7 +155,7 @@ func main() {
 // over 1, 2, 4 and GOMAXPROCS) and the deterministic flag (every sweep
 // pass rendered byte-identical reports). All timed simulation passes
 // now run after one untimed warm-up pass, so the memoized program
-// builds and validations warm once instead of being charged to
+// builds and fingerprints warm once instead of being charged to
 // whichever pass ran first (v2 charged them to the serial pass, which
 // inflated parallel_speedup).
 //
@@ -288,7 +288,7 @@ func benchEngine(path string, minScaling float64, surrPath string) error {
 	prevDisk := engine.SwapDiskCache(nil)
 	engine.SetCacheCapacity(0)
 	sweepErr := func() error {
-		// One untimed warm-up pass: program builds, validation memos and
+		// One untimed warm-up pass: program builds, fingerprint memos and
 		// scheduler-state pools warm here, so every timed pass measures
 		// the same steady state instead of the first pass absorbing the
 		// one-time costs.

@@ -111,13 +111,19 @@ func (s *Schedule) Utilization(c int) float64 {
 
 // durations measures every inventory row's per-instance duration at
 // every contention level 1..cores: occupancy o simulates the baseline
-// build against multicore.PerCoreChip(chip, o), whose GM-attached
+// program against multicore.PerCoreChip(chip, o), whose GM-attached
 // links carry 1/o of the chip's bandwidth — concurrent operators
 // degrade each other exactly the way internal/multicore models it.
 // Occupancy 1 uses the chip itself, so single-core graph times are the
 // very simulations model.Run caches. The (op × occupancy) matrix fans
 // out over the engine pool; ParallelMap keeps results in index order,
 // so worker count never changes a single bit downstream.
+//
+// Each operator is built once, on the base chip, and that one program
+// runs at every occupancy. This is exact: kernel builders read only
+// the chip's buffer sizes, which PerCoreChip copies unchanged (a graph
+// test pins the equality for every registered kernel). It also keeps
+// the per-call per-core chips out of the build memo's keys.
 func durations(chip *hw.Chip, m *model.Model, cores, workers int) ([][]int64, error) {
 	chips := make([]*hw.Chip, cores+1)
 	chips[1] = chip
@@ -128,7 +134,7 @@ func durations(chip *hw.Chip, m *model.Model, cores, workers int) ([][]int64, er
 	flat, err := engine.ParallelMap(workers, n*cores, func(i int) (int64, error) {
 		k, o := i/cores, i%cores+1
 		inst := m.Ops[k]
-		prog, err := kernels.BuildCached(chips[o], inst.Kernel, inst.Kernel.Baseline())
+		prog, err := kernels.BuildCached(chip, inst.Kernel, inst.Kernel.Baseline())
 		if err != nil {
 			return 0, fmt.Errorf("graph: %s: %s: %w", m.Name, inst.Kernel.Name(), err)
 		}

@@ -1,9 +1,9 @@
 package kernels
 
 import (
+	"container/list"
 	"reflect"
 	"sync"
-	"sync/atomic"
 
 	"ascendperf/internal/hw"
 	"ascendperf/internal/isa"
@@ -14,9 +14,15 @@ import (
 // of re-emitting the instruction stream. The multi-pass pipelines
 // (model runner passes, the optimizer's re-evaluations, benchmark
 // warm/measure pairs) rebuild identical programs constantly; with the
-// memo the rebuild costs a map lookup, and downstream per-Program memos
-// (isa.Fingerprint, the simulator's validation memo) keep paying off
-// because the pointer is stable across passes.
+// memo the rebuild costs a map lookup, and the per-Program fingerprint
+// memo (isa.Program.Fingerprint) keeps paying off because the pointer
+// is stable across passes.
+//
+// The memo is a least-recently-used cache of maxBuildCache entries: a
+// stream of distinct builds evicts the coldest program instead of
+// pinning the first ones forever, so the working set stays memoized
+// however long the process runs. An evicted program stays valid for
+// whoever still holds it; the next call for its key builds a fresh one.
 //
 // The returned program is shared between callers and MUST NOT be
 // mutated; every current consumer only simulates or inspects it.
@@ -34,25 +40,16 @@ func BuildCached(chip *hw.Chip, k Kernel, opts Options) (*isa.Program, error) {
 		return k.Build(chip, opts)
 	}
 	key := buildKey{chip: chip, kernel: k, opts: opts}
-	if v, ok := buildCache.Load(key); ok {
-		return v.(*isa.Program), nil
+	if prog := buildCache.get(key); prog != nil {
+		return prog, nil
 	}
 	prog, err := k.Build(chip, opts)
 	if err != nil {
 		return nil, err
 	}
-	// Bound the memo so workloads minting unbounded kernel/chip objects
-	// cannot grow it without limit; past the bound builds stop memoizing.
-	if buildCacheCount.Load() < maxBuildCache {
-		if _, loaded := buildCache.LoadOrStore(key, prog); !loaded {
-			buildCacheCount.Add(1)
-		} else if v, ok := buildCache.Load(key); ok {
-			// Lost an insert race: hand out the stored program so every
-			// caller shares one pointer.
-			return v.(*isa.Program), nil
-		}
-	}
-	return prog, nil
+	// Concurrent misses on one key all build; the first insert wins and
+	// every caller gets its pointer.
+	return buildCache.add(key, prog), nil
 }
 
 type buildKey struct {
@@ -61,9 +58,52 @@ type buildKey struct {
 	opts   Options
 }
 
-var (
-	buildCache      sync.Map // buildKey -> *isa.Program
-	buildCacheCount atomic.Int64
-)
+// maxBuildCache bounds the build memo; it matches the engine's default
+// simulation-cache capacity, so the two tiers cover one working set.
+const maxBuildCache = 1024
 
-const maxBuildCache = 4096
+// buildLRU is a mutex-guarded LRU map from build key to program.
+type buildLRU struct {
+	mu      sync.Mutex
+	entries map[buildKey]*list.Element
+	order   list.List // front = most recently used; values are *buildEntry
+}
+
+type buildEntry struct {
+	key  buildKey
+	prog *isa.Program
+}
+
+var buildCache = buildLRU{entries: make(map[buildKey]*list.Element)}
+
+// get returns the program stored under key, marking it most recently
+// used, or nil.
+func (c *buildLRU) get(key buildKey) *isa.Program {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[key]
+	if !ok {
+		return nil
+	}
+	c.order.MoveToFront(e)
+	return e.Value.(*buildEntry).prog
+}
+
+// add stores prog under key unless a program is already stored there,
+// and returns the stored one. Past the bound the least recently used
+// entry goes.
+func (c *buildLRU) add(key buildKey, prog *isa.Program) *isa.Program {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[key]; ok {
+		c.order.MoveToFront(e)
+		return e.Value.(*buildEntry).prog
+	}
+	c.entries[key] = c.order.PushFront(&buildEntry{key: key, prog: prog})
+	if c.order.Len() > maxBuildCache {
+		oldest := c.order.Back()
+		c.order.Remove(oldest)
+		delete(c.entries, oldest.Value.(*buildEntry).key)
+	}
+	return prog
+}

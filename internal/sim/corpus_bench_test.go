@@ -19,8 +19,9 @@ import (
 )
 
 // benchCorpus runs one generated program of n instructions per
-// iteration, reusing the program across iterations (the scheduler, not
-// generation or validation caching, is under measurement).
+// iteration, reusing the program across iterations: generation stays
+// outside the measurement, while RunOpts validates the program on every
+// call, as it does in production.
 func benchCorpus(b *testing.B, n int, opts sim.Options) {
 	chip := hw.TrainingChip()
 	prog := check.GenProgram(chip, rand.New(rand.NewSource(1)), n)

@@ -4,7 +4,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"ascendperf/internal/check"
 	"ascendperf/internal/hw"
@@ -95,16 +94,11 @@ func TestPredictorDeclinesOptions(t *testing.T) {
 	}
 }
 
-// TestPredictLatencyGuard is the executable form of the < 1µs
-// acceptance criterion: the gate + standardize + dot-product hot path
-// on a prepared feature vector. The threshold is generous (10x the
-// target would still fail) and the guard retries to ride out scheduler
-// noise on loaded CI machines; BenchmarkSurrogatePredict gives the real
-// number.
+// TestPredictLatencyGuard guards the predictor hit path
+// deterministically: Model.Predict must not allocate. The < 1µs
+// latency bound is a wall-clock figure, so it lives in the
+// BenchmarkSurrogatePredict gate of scripts/ci.sh, not here.
 func TestPredictLatencyGuard(t *testing.T) {
-	if raceEnabled {
-		t.Skip("latency guard is meaningless under the race detector's instrumentation overhead")
-	}
 	m := trainedModel(t)
 	chip := hw.TrainingChip()
 	c := check.Corpus(map[string]*hw.Chip{"training": chip})[0]
@@ -113,21 +107,11 @@ func TestPredictLatencyGuard(t *testing.T) {
 		// Pick any accepted case; the first kernel is always in-range.
 		t.Fatalf("%s: gate rejected a training case", c.Name)
 	}
-	const iters = 20000
-	best := time.Duration(1 << 62)
-	for attempt := 0; attempt < 5; attempt++ {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			sinkNS, sinkOK = m.Predict(f)
-		}
-		if d := time.Since(start) / iters; d < best {
-			best = d
-		}
-		if best < time.Microsecond {
-			return
-		}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		sinkNS, sinkOK = m.Predict(f)
+	}); allocs != 0 {
+		t.Fatalf("Model.Predict allocates %v times per call, want 0", allocs)
 	}
-	t.Fatalf("Model.Predict mean %v per call, want < 1µs", best)
 }
 
 var (

@@ -77,6 +77,24 @@ echo "== benchmark smoke =="
 # runtime, without paying for a real measurement.
 go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/engine ./internal/surrogate
 
+echo "== surrogate predict latency gate =="
+# The learned predictor's hit path must stay under 1µs per call. This
+# is a wall-clock bound, so it is a benchmark gate (the unit test only
+# pins zero allocations): best of five runs, to ride out scheduler
+# noise on a loaded machine.
+predict_ns="$(go test -run '^$' -bench '^BenchmarkSurrogatePredict$' \
+    -benchtime 200000x -count 5 ./internal/surrogate |
+    awk '$1 ~ /^BenchmarkSurrogatePredict/ { if (best == "" || $3 + 0 < best) best = $3 + 0 } END { print best }')"
+if [ -z "$predict_ns" ]; then
+    echo "BenchmarkSurrogatePredict produced no result" >&2
+    exit 1
+fi
+awk -v ns="$predict_ns" 'BEGIN { exit !(ns < 1000) }' || {
+    echo "Model.Predict takes ${predict_ns} ns/op, want < 1000" >&2
+    exit 1
+}
+echo "Model.Predict: ${predict_ns} ns/op"
+
 echo "== parallel scaling smoke =="
 # The engine worker sweep: ascendbench -json errors out by itself if
 # the sweep reports diverge across worker counts, so this is always a
@@ -163,6 +181,14 @@ echo "== graph scheduling gates (serial parity + overlap smoke) =="
 # not just "does not lose" via the serial fallback).
 go run ./cmd/ascendgraph -all -cores 1 -parity > /dev/null
 go run ./cmd/ascendgraph -model "Llama 2 Decode" -cores 4 -minoverlap 1.0 > /dev/null
+
+echo "== offline analysis correctness smoke (perfbench offline-synth) =="
+# A short offline-synth run end to end: seeded models through the
+# optimizer and a 4-core graph schedule, with its own checks that a
+# warm re-analysis and an uncached re-run reproduce the cold results.
+# It exits non-zero on any mismatch, which checks the shared build memo
+# and the graph scheduler's one program per operator end to end.
+bash perfbench/run.sh --workload offline-synth --seed 1 --seconds 3 --trace 0 > /dev/null
 
 echo "== docs drift check =="
 # Every CLI's -h flag set must match the README's CLI reference tables.
