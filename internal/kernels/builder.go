@@ -2,37 +2,64 @@ package kernels
 
 import (
 	"fmt"
+	"sync"
 
 	"ascendperf/internal/hw"
 	"ascendperf/internal/isa"
 )
 
+// maxPooledInstrs caps the capacity of a scratch buffer that goes back
+// to the pool (about 11 MB of instructions); a larger one is left to
+// the garbage collector so one outsized build does not stay resident.
+const maxPooledInstrs = 1 << 16
+
+// scratchPool holds instruction buffers for builders between builds.
+var scratchPool = sync.Pool{New: func() any { return new([]isa.Instr) }}
+
 // Builder assembles an isa.Program with bump-pointer buffer allocation
 // and automatic flag-event management. Errors (e.g. buffer exhaustion)
 // are accumulated and surfaced by Program().
+//
+// Instructions are emitted into a scratch buffer taken from a pool
+// shared by all builders, so a build does not grow its stream by
+// repeated doubling. Program copies the stream into an exact-size
+// slice that the returned program owns, clears the scratch and hands
+// it back to the pool, on success and on error alike. The builder
+// owns the scratch only until then: Program ends the build, and a
+// builder must not be used after it.
 type Builder struct {
-	chip *hw.Chip
-	prog *isa.Program
-	next map[hw.Level]int64
-	ev   map[[2]hw.Component]int
-	err  error
+	chip    *hw.Chip
+	name    string
+	scratch *[]isa.Instr // pooled; nil once Program has run
+	instrs  []isa.Instr  // the stream so far, backed by *scratch
+	next    map[hw.Level]int64
+	ev      map[[2]hw.Component]int
+	err     error
 }
 
 // NewBuilder returns a builder for a program with the given name.
 func NewBuilder(chip *hw.Chip, name string) *Builder {
+	scratch := scratchPool.Get().(*[]isa.Instr)
 	return &Builder{
-		chip: chip,
-		prog: &isa.Program{Name: name},
-		next: map[hw.Level]int64{},
-		ev:   map[[2]hw.Component]int{},
+		chip:    chip,
+		name:    name,
+		scratch: scratch,
+		instrs:  (*scratch)[:0],
+		next:    map[hw.Level]int64{},
+		ev:      map[[2]hw.Component]int{},
 	}
 }
 
 // fail records the first error.
 func (b *Builder) fail(format string, args ...any) {
 	if b.err == nil {
-		b.err = fmt.Errorf("kernels: %s: %s", b.prog.Name, fmt.Sprintf(format, args...))
+		b.err = fmt.Errorf("kernels: %s: %s", b.name, fmt.Sprintf(format, args...))
 	}
+}
+
+// emit appends one instruction to the stream.
+func (b *Builder) emit(in isa.Instr) {
+	b.instrs = append(b.instrs, in)
 }
 
 // Alloc bump-allocates size bytes in the given buffer level.
@@ -69,7 +96,7 @@ func (b *Builder) Copy(path hw.Path, src, dst isa.Region, label string) {
 		b.fail("copy %s with mismatched sizes %d -> %d", path, src.Size, dst.Size)
 		return
 	}
-	b.prog.Append(isa.Instr{
+	b.emit(isa.Instr{
 		Kind:   isa.KindTransfer,
 		Path:   path,
 		Bytes:  src.Size,
@@ -85,7 +112,7 @@ func (b *Builder) Compute(u hw.Unit, p hw.Precision, ops int64, repeat int, read
 		b.fail("compute with %d ops", ops)
 		return
 	}
-	b.prog.Append(isa.Instr{
+	b.emit(isa.Instr{
 		Kind:   isa.KindCompute,
 		Unit:   u,
 		Prec:   p,
@@ -101,7 +128,7 @@ func (b *Builder) Compute(u hw.Unit, p hw.Precision, ops int64, repeat int, read
 // computation, loop control), each performing ops INT32 operations.
 func (b *Builder) ScalarWork(n int, ops int64) {
 	for i := 0; i < n; i++ {
-		b.prog.Append(isa.Compute(hw.Scalar, hw.INT32, ops))
+		b.emit(isa.Compute(hw.Scalar, hw.INT32, ops))
 	}
 }
 
@@ -115,17 +142,17 @@ func (b *Builder) NewEvent(from, to hw.Component) int {
 
 // Set emits a set_flag.
 func (b *Builder) Set(from, to hw.Component, event int) {
-	b.prog.Append(isa.SetFlag(from, to, event))
+	b.emit(isa.SetFlag(from, to, event))
 }
 
 // Wait emits a wait_flag.
 func (b *Builder) Wait(from, to hw.Component, event int) {
-	b.prog.Append(isa.WaitFlag(from, to, event))
+	b.emit(isa.WaitFlag(from, to, event))
 }
 
 // Barrier emits pipe_barrier(PIPE_ALL).
 func (b *Builder) Barrier() {
-	b.prog.Append(isa.BarrierAllInstr())
+	b.emit(isa.BarrierAllInstr())
 }
 
 // StageSync separates two pipeline stages. With minimalSync it emits a
@@ -141,15 +168,35 @@ func (b *Builder) StageSync(from, to hw.Component, minimalSync bool) {
 	}
 }
 
-// Program finalizes the build.
+// Program finalizes the build: it returns the validated program, or
+// the first error the build recorded. It releases the builder's
+// scratch buffer, so it may be called only once.
 func (b *Builder) Program() (*isa.Program, error) {
+	if b.scratch == nil {
+		return nil, fmt.Errorf("kernels: %s: Program called twice", b.name)
+	}
+	defer b.release()
 	if b.err != nil {
 		return nil, b.err
 	}
-	if err := b.prog.Validate(b.chip); err != nil {
+	prog := &isa.Program{Name: b.name, Instrs: make([]isa.Instr, len(b.instrs))}
+	copy(prog.Instrs, b.instrs)
+	if err := prog.Validate(b.chip); err != nil {
 		return nil, err
 	}
-	return b.prog, nil
+	return prog, nil
+}
+
+// release zeroes the scratch buffer, so the pool pins no labels or
+// regions of the finished program, and returns it to the pool unless it
+// outgrew maxPooledInstrs.
+func (b *Builder) release() {
+	clear(b.instrs)
+	if cap(b.instrs) <= maxPooledInstrs {
+		*b.scratch = b.instrs[:0]
+		scratchPool.Put(b.scratch)
+	}
+	b.scratch, b.instrs = nil, nil
 }
 
 // Used returns the bytes currently allocated in the level.

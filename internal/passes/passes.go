@@ -80,14 +80,15 @@ func isWork(in *isa.Instr) bool {
 // barrier-heavy input while enforcing the same data flow.
 func MinimalSync(chip *hw.Chip, prog *isa.Program) (*isa.Program, error) {
 	// Collect the work instructions in program order.
-	var work []isa.Instr
+	work := make([]isa.Instr, 0, len(prog.Instrs))
 	for i := range prog.Instrs {
-		in := prog.Instrs[i]
-		if isWork(&in) {
-			work = append(work, in)
+		if isWork(&prog.Instrs[i]) {
+			work = append(work, prog.Instrs[i])
 		}
 	}
-	out := &isa.Program{Name: prog.Name + "+minsync"}
+	// The input length is the output's size hint: the pass drops the
+	// input's synchronization and re-inserts only what data flow needs.
+	out := &isa.Program{Name: prog.Name + "+minsync", Instrs: make([]isa.Instr, 0, len(prog.Instrs))}
 
 	comps := make([]hw.Component, len(work))
 	for i := range work {
@@ -254,28 +255,36 @@ func CheckOrdering(chip *hw.Chip, prog *isa.Program, p *profile.Profile) error {
 // instruction can observe the intermediate state, and the merged
 // transfer covers exactly the same bytes.
 func CoalesceTransfers(chip *hw.Chip, prog *isa.Program) (*isa.Program, error) {
-	out := &isa.Program{Name: prog.Name + "+coalesce"}
+	out := &isa.Program{Name: prog.Name + "+coalesce", Instrs: make([]isa.Instr, 0, len(prog.Instrs))}
 	for i := 0; i < len(prog.Instrs); i++ {
 		cur := prog.Instrs[i]
 		if cur.Kind == isa.KindTransfer && len(cur.Reads) == 1 && len(cur.Writes) == 1 {
+			// Merge into copies of the regions: cur shares its Reads and
+			// Writes arrays with the input, which must stay unchanged.
+			r, w := cur.Reads[0], cur.Writes[0]
+			merged := false
 			for i+1 < len(prog.Instrs) {
 				next := prog.Instrs[i+1]
 				if next.Kind != isa.KindTransfer || next.Path != cur.Path ||
 					len(next.Reads) != 1 || len(next.Writes) != 1 {
 					break
 				}
-				if next.Reads[0].Level != cur.Reads[0].Level ||
-					next.Reads[0].Off != cur.Reads[0].End() ||
-					next.Writes[0].Off != cur.Writes[0].End() {
+				if next.Reads[0].Level != r.Level ||
+					next.Reads[0].Off != r.End() ||
+					next.Writes[0].Off != w.End() {
 					break
 				}
-				cur.Reads[0].Size += next.Reads[0].Size
-				cur.Writes[0].Size += next.Writes[0].Size
+				r.Size += next.Reads[0].Size
+				w.Size += next.Writes[0].Size
 				cur.Bytes += next.Bytes
 				if cur.Label == "" {
 					cur.Label = next.Label
 				}
+				merged = true
 				i++
+			}
+			if merged {
+				cur.Reads, cur.Writes = []isa.Region{r}, []isa.Region{w}
 			}
 		}
 		out.Append(cur)

@@ -342,3 +342,28 @@ func TestCoalesceOnEmbeddingLookup(t *testing.T) {
 		t.Errorf("coalescing regressed: %.1f -> %.1f us", before/1000, after/1000)
 	}
 }
+
+// TestCoalesceLeavesInputUnchanged: merging must not write through the
+// region arrays the output shares with the input program.
+func TestCoalesceLeavesInputUnchanged(t *testing.T) {
+	chip := hw.TrainingChip()
+	prog := &isa.Program{Name: "gathers"}
+	for i := int64(0); i < 4; i++ {
+		prog.Append(isa.Transfer(hw.PathGMToUB, i*1024, i*1024, 1024))
+	}
+	fp := prog.Fingerprint()
+	text := prog.Disassemble()
+	merged, err := CoalesceTransfers(chip, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.Len() != 1 || merged.Instrs[0].Reads[0].Size != 4096 || merged.Instrs[0].Writes[0].Size != 4096 {
+		t.Fatalf("want one 4096-byte transfer, got\n%s", merged.Disassemble())
+	}
+	if got := prog.Disassemble(); got != text {
+		t.Errorf("input changed:\n%s\nwas\n%s", got, text)
+	}
+	if got := (&isa.Program{Name: prog.Name, Instrs: prog.Instrs}).Fingerprint(); got != fp {
+		t.Errorf("input fingerprint %s, was %s", got, fp)
+	}
+}
