@@ -161,9 +161,12 @@ if [ -z "$base" ]; then
     cat "$servedir/ascendd.log" >&2
     exit 1
 fi
+# A failure of these load-generator gates is reported at the end of the
+# script instead of here, so the correctness gates below still run.
+serve_status=0
 "$servedir/ascendload" -base "$base" -endpoint model -topn 3 -qps 200 -duration 3s \
     -json "$servedir/bench_serve.json" \
-    -maxerrors 0 -minhitrate 0.5 -minspeedup 10
+    -maxerrors 0 -minhitrate 0.5 -minspeedup 10 || serve_status=$?
 kill -TERM "$ascendd_pid"
 wait "$ascendd_pid"
 grep -q "shutdown complete" "$servedir/ascendd.log" || {
@@ -272,5 +275,10 @@ grep -q "shutdown complete" "$routerdir/router.log" || {
 }
 kill -TERM "$shard1_pid" "$shard2_pid"
 wait "$shard1_pid" "$shard2_pid"
+
+if [ "$serve_status" -ne 0 ]; then
+    echo "serving smoke (ascendload) failed with exit status $serve_status; see its output above" >&2
+    exit "$serve_status"
+fi
 
 echo "CI OK"
