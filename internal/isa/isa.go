@@ -264,11 +264,13 @@ type Program struct {
 	Name   string
 	Instrs []Instr
 
-	// fp memoizes Fingerprint. Programs are append-only after
-	// construction (Append is the only mutation path; transformation
-	// passes build fresh programs), so a memo taken at one instruction
-	// count stays valid until the count changes.
-	fp atomic.Pointer[fpMemo]
+	// fp memoizes Fingerprint and valid a successful Validate.
+	// Programs are append-only after construction (Append is the only
+	// mutation path; transformation passes build fresh programs), so a
+	// memo taken at one instruction count stays valid until the count
+	// changes.
+	fp    atomic.Pointer[fpMemo]
+	valid atomic.Pointer[validMemo]
 }
 
 // fpMemo pairs a computed fingerprint with the instruction count it was
@@ -296,39 +298,85 @@ func (p *Program) Disassemble() string {
 	return b.String()
 }
 
-// Validate checks that every instruction is legal on the chip: transfer
-// paths exist, compute precisions are supported, regions fit within their
-// buffers, and flag endpoints are distinct components.
-func (p *Program) Validate(chip *hw.Chip) error {
-	// Dense images of the chip's small lookup maps: validation asks two
-	// or three chip questions per instruction, and on large programs
-	// the per-instruction map hashing dominates the pass. Indices
-	// outside the dense bounds (a future unit/precision/level) fall
-	// back to the maps.
-	const nu, np = 3, 5
-	var peakOK [nu][np]bool
+// legality is the part of a chip that Validate reads, compiled into
+// dense tables: which (unit, precision) pairs have a peak, which paths
+// exist and whether an MTE schedules them, and each buffer's capacity.
+// It is comparable, so it doubles as the key of the validation memo:
+// two chips whose entries all fit the dense tables and whose legality
+// is equal give every program the same verdict, whatever their rates,
+// bandwidths or names.
+type legality struct {
+	peakOK [numUnits][numPrecs]bool
+	// 0 = illegal, 1 = MTE-scheduled, 2 = present but not MTE-scheduled.
+	pathKind [hw.NumLevels][hw.NumLevels]int8
+	bufCap   [hw.NumLevels]int64
+	bufOK    [hw.NumLevels]bool
+}
+
+// numUnits and numPrecs bound the dense peak table. Chip entries
+// outside the dense bounds (a future unit/precision/level) are answered
+// from the chip maps instead.
+const numUnits, numPrecs = 3, 5
+
+// legalityOf compiles the chip's legality tables. dense is false when
+// some chip entry falls outside the dense bounds: the tables then do
+// not capture every verdict the chip maps can give, and Validate
+// neither reads nor writes the memo.
+func legalityOf(chip *hw.Chip) (l legality, dense bool) {
+	dense = true
 	for up := range chip.Compute {
-		if up.Unit >= 0 && int(up.Unit) < nu && up.Prec >= 0 && int(up.Prec) < np {
-			peakOK[up.Unit][up.Prec] = true
+		if up.Unit >= 0 && int(up.Unit) < numUnits && up.Prec >= 0 && int(up.Prec) < numPrecs {
+			l.peakOK[up.Unit][up.Prec] = true
+		} else {
+			dense = false
 		}
 	}
-	// 0 = illegal, 1 = MTE-scheduled, 2 = present but not MTE-scheduled.
-	var pathKind [hw.NumLevels][hw.NumLevels]int8
 	for pth, spec := range chip.Paths {
 		if pth.Src >= 0 && int(pth.Src) < hw.NumLevels && pth.Dst >= 0 && int(pth.Dst) < hw.NumLevels {
 			if spec.Engine.IsMTE() {
-				pathKind[pth.Src][pth.Dst] = 1
+				l.pathKind[pth.Src][pth.Dst] = 1
 			} else {
-				pathKind[pth.Src][pth.Dst] = 2
+				l.pathKind[pth.Src][pth.Dst] = 2
 			}
+		} else {
+			dense = false
 		}
 	}
-	var bufCap [hw.NumLevels]int64
-	var bufOK [hw.NumLevels]bool
-	for l, c := range chip.BufferSize {
-		if l >= 0 && int(l) < hw.NumLevels {
-			bufCap[l], bufOK[l] = c, true
+	for lv, c := range chip.BufferSize {
+		if lv >= 0 && int(lv) < hw.NumLevels {
+			l.bufCap[lv], l.bufOK[lv] = c, true
+		} else {
+			dense = false
 		}
+	}
+	return l, dense
+}
+
+// validMemo records a successful Validate: the instruction count it
+// covered and the legality of the chip it passed on.
+type validMemo struct {
+	n   int
+	leg legality
+}
+
+// Validate checks that every instruction is legal on the chip: transfer
+// paths exist, compute precisions are supported, regions fit within their
+// buffers, and flag endpoints are distinct components.
+//
+// A successful verdict is memoized on the program, keyed by instruction
+// count and the chip's legality tables rather than the chip pointer:
+// the builder's check then also covers every later simulation of the
+// program on the same chip or on a derived chip that only changes
+// rates (multicore.PerCoreChip), and the memo pins no chip. Failures
+// are never memoized.
+func (p *Program) Validate(chip *hw.Chip) error {
+	// Dense tables answer the two or three chip questions asked per
+	// instruction; on large programs map hashing per instruction
+	// dominated the pass. Indices outside the dense bounds fall back to
+	// the maps.
+	leg, dense := legalityOf(chip)
+	if dense && p.validFor(leg) {
+		return nil
 	}
 
 	flags := map[flagKey]flagCount{}
@@ -336,7 +384,7 @@ func (p *Program) Validate(chip *hw.Chip) error {
 		in := &p.Instrs[i]
 		switch in.Kind {
 		case KindCompute:
-			ok := in.Unit >= 0 && int(in.Unit) < nu && in.Prec >= 0 && int(in.Prec) < np && peakOK[in.Unit][in.Prec]
+			ok := in.Unit >= 0 && int(in.Unit) < numUnits && in.Prec >= 0 && int(in.Prec) < numPrecs && leg.peakOK[in.Unit][in.Prec]
 			if !ok {
 				if _, mapOK := chip.PeakOf(in.Unit, in.Prec); !mapOK {
 					return fmt.Errorf("isa: %s[%d]: precision %s unsupported on %s", p.Name, i, in.Prec, in.Unit)
@@ -348,7 +396,7 @@ func (p *Program) Validate(chip *hw.Chip) error {
 		case KindTransfer:
 			kind := int8(0)
 			if in.Path.Src >= 0 && int(in.Path.Src) < hw.NumLevels && in.Path.Dst >= 0 && int(in.Path.Dst) < hw.NumLevels {
-				kind = pathKind[in.Path.Src][in.Path.Dst]
+				kind = leg.pathKind[in.Path.Src][in.Path.Dst]
 			}
 			if kind == 0 {
 				return fmt.Errorf("isa: %s[%d]: illegal path %s", p.Name, i, in.Path)
@@ -381,7 +429,7 @@ func (p *Program) Validate(chip *hw.Chip) error {
 				var cap int64
 				ok := false
 				if r.Level >= 0 && int(r.Level) < hw.NumLevels {
-					cap, ok = bufCap[r.Level], bufOK[r.Level]
+					cap, ok = leg.bufCap[r.Level], leg.bufOK[r.Level]
 				} else {
 					cap, ok = chip.BufferSize[r.Level]
 				}
@@ -408,7 +456,26 @@ func (p *Program) Validate(chip *hw.Chip) error {
 		return fmt.Errorf("isa: %s: %d wait_flag but only %d set_flag for %s->%s ev=%d",
 			p.Name, c.waits, c.sets, bad.from, bad.to, bad.event)
 	}
+	if dense {
+		p.valid.Store(&validMemo{n: len(p.Instrs), leg: leg})
+	}
 	return nil
+}
+
+// Validated reports whether the program holds a memoized successful
+// Validate, at its current length, on a chip of the same legality as
+// chip: that is, whether Validate(chip) returns nil without walking the
+// program.
+func (p *Program) Validated(chip *hw.Chip) bool {
+	leg, dense := legalityOf(chip)
+	return dense && p.validFor(leg)
+}
+
+// validFor reports whether the validation memo covers legality leg at
+// the program's current length.
+func (p *Program) validFor(leg legality) bool {
+	m := p.valid.Load()
+	return m != nil && m.n == len(p.Instrs) && m.leg == leg
 }
 
 type flagKey struct {

@@ -20,7 +20,7 @@ import (
 )
 
 // episodeSchema versions the on-disk episode format.
-const episodeSchema = "ascendperf/episodes/v1"
+const episodeSchema = "ascendperf/episodes/v2"
 
 // Episode is one persisted best-known candidate.
 type Episode struct {

@@ -1,11 +1,6 @@
 package sim
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"ascendperf/internal/hw"
-)
+import "ascendperf/internal/hw"
 
 // chipTable is a dense, array-indexed compilation of a chip's lookup
 // maps (Paths, Compute) plus the tick images of its fixed costs. The
@@ -55,27 +50,18 @@ func buildChipTable(chip *hw.Chip) *chipTable {
 
 // chipTabs caches compiled tables keyed by chip pointer. hw.Chip is
 // documented immutable after construction, the same contract the engine
-// package's chip-fingerprint memo already relies on. Holding the *Chip
-// key keeps the chip alive, so a cached pointer can never be reused by
-// a different chip; the count bound caps the cache for workloads that
-// synthesize many chip variants (ERT fitting), which simply stop
-// caching past the bound.
-var (
-	chipTabs  sync.Map // *hw.Chip -> *chipTable
-	nChipTabs atomic.Int64
-)
+// package's chip-fingerprint memo already relies on. The bound caps the
+// cache for workloads that synthesize many chip variants (ERT fitting,
+// per-core chips on every graph run); when full it starts over.
+var chipTabs = hw.NewChipMemo[*chipTable](maxChipTabs)
 
 const maxChipTabs = 4096
 
 func tableOf(chip *hw.Chip) *chipTable {
-	if v, ok := chipTabs.Load(chip); ok {
-		return v.(*chipTable)
+	if t, ok := chipTabs.Load(chip); ok {
+		return t
 	}
 	t := buildChipTable(chip)
-	if nChipTabs.Load() < maxChipTabs {
-		if _, loaded := chipTabs.LoadOrStore(chip, t); !loaded {
-			nChipTabs.Add(1)
-		}
-	}
+	chipTabs.Store(chip, t)
 	return t
 }

@@ -20,8 +20,10 @@ import (
 
 // benchCorpus runs one generated program of n instructions per
 // iteration, reusing the program across iterations: generation stays
-// outside the measurement, while RunOpts validates the program on every
-// call, as it does in production.
+// outside the measurement, and so does validation after the first
+// iteration, because the program memoizes its successful Validate as it
+// does in production. BenchmarkValidate (internal/isa) measures the
+// validation walk itself.
 func benchCorpus(b *testing.B, n int, opts sim.Options) {
 	chip := hw.TrainingChip()
 	prog := check.GenProgram(chip, rand.New(rand.NewSource(1)), n)

@@ -84,9 +84,11 @@ func Run(chip *hw.Chip, prog *isa.Program) (*profile.Profile, error) {
 }
 
 // RunOpts simulates the program on the chip with explicit options. It
-// validates the chip and the program on every call: the walk is linear
-// in the program and costs a fraction of the schedule, and keeping no
-// memo means the simulator holds no program alive past its caller.
+// validates the chip and the program on every call; the program carries
+// its own memo of a successful validation (isa.Program.Validate), so a
+// program the kernel builder already checked on a chip of the same
+// legality is not walked again, and the simulator holds no program
+// alive past its caller.
 func RunOpts(chip *hw.Chip, prog *isa.Program, opts Options) (*profile.Profile, error) {
 	if err := chip.Validate(); err != nil {
 		return nil, err

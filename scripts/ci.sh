@@ -70,6 +70,7 @@ echo "== fuzz (short budget) =="
 go test -run '^$' -fuzz FuzzVerifySchedule -fuzztime 10s -fuzzminimizetime 5s ./internal/sim
 go test -run '^$' -fuzz FuzzDiff -fuzztime 10s -fuzzminimizetime 5s ./internal/check
 go test -run '^$' -fuzz FuzzExtract -fuzztime 10s -fuzzminimizetime 5s ./internal/surrogate
+go test -run '^$' -fuzz FuzzFingerprint -fuzztime 10s -fuzzminimizetime 5s ./internal/isa
 
 echo "== benchmark smoke =="
 # Compile and execute every scheduler/engine benchmark for one
